@@ -97,7 +97,7 @@ fn seeded_regression_reverting_the_checked_wire_id_cast_is_caught() {
 fn file_kinds_classify_the_real_layout() {
     assert_eq!(FileKind::of_path("tests/determinism.rs"), FileKind::Test);
     assert_eq!(
-        FileKind::of_path("crates/bench/benches/engine_delivery.rs"),
+        FileKind::of_path("crates/bench/benches/bitset_sweep.rs"),
         FileKind::Bench
     );
     assert_eq!(FileKind::of_path("crates/graph/src/bfs.rs"), FileKind::Lib);

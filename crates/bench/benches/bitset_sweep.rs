@@ -1,20 +1,5 @@
 //! The word-parallel bitset frontier kernel versus its scalar counterparts,
-//! measured on the three places it was wired in — with honestly reported
-//! numbers for each.
-//!
-//! **Index leg** (100k-vertex instances, r = 2). Both variants build the
-//! same artifact — the flat [`WReachIndex`] (CSR restricted balls + depths,
-//! inverted `WReach_r` sets, elected minima) — through the same assembly;
-//! the only difference is the ball sweep itself. The scalar path runs one
-//! restricted BFS per source through epoch-stamped scratch; the batched path
-//! packs 64 BFS-order-adjacent sources into u64 lane words and pushes all of
-//! them across each edge in one word op. Outputs are asserted
-//! **bit-identical** before timing starts. On bounded-expansion instances
-//! the order restriction caps how many lanes actually share a word (measured
-//! ≈ 1.8 on planar-tri, ≈ 1.05 on the config model at r = 2 — the average
-//! |WReach_2| of ≈ 8 is the theoretical ceiling), so the batched sweep does
-//! roughly the scalar path's op count with worse locality and currently
-//! *loses* this leg. The numbers are recorded as measured; see README.
+//! measured on the two places it is wired in.
 //!
 //! **Oracle leg** (n = 24). The exact bitmask oracle before this kernel
 //! existed: enumerate all 2ⁿ subsets in numeric order over scalar-built u32
@@ -30,54 +15,20 @@
 //!
 //! Run with `BEDOM_BENCH_JSON=BENCH_bitset.json` to commit the numbers.
 
-#![allow(unsafe_code)] // the counting allocator implements `GlobalAlloc`
-
-use bedom_bench::connected_instance;
 use bedom_graph::bfs::{multi_source_distances, UNREACHABLE};
 use bedom_graph::bitset::{reach_words64, ReachMatrix};
 use bedom_graph::domset::{bitmask_minimum_domination_number, greedy_distance_dominating_set};
-use bedom_graph::generators::{cycle, stacked_triangulation, Family};
+use bedom_graph::generators::{cycle, stacked_triangulation};
 use bedom_graph::power::all_closed_neighborhoods;
 use bedom_graph::{Graph, Vertex};
-use bedom_par::ExecutionStrategy;
-use bedom_wcol::{degeneracy_based_order, WReachIndex};
-use criterion::{
-    criterion_group, criterion_main, record_metric, BenchmarkId, Criterion, Throughput,
-};
-use std::alloc::{GlobalAlloc, Layout, System};
+use criterion::{criterion_group, criterion_main, record_metric, Criterion};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-const N: usize = 100_000;
-const R: u32 = 2;
-
-/// Counts heap allocations so the bench reports, next to the timings, how
-/// many allocations one run of each sweep performs.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn timed_allocs(f: impl FnOnce()) -> (u64, f64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+fn timed(f: impl FnOnce()) -> f64 {
     let start = Instant::now();
     f();
-    let secs = start.elapsed().as_secs_f64();
-    (ALLOCS.load(Ordering::Relaxed) - before, secs)
+    start.elapsed().as_secs_f64()
 }
 
 /// The exact oracle as it stood before the kernel (seed version, verbatim
@@ -112,94 +63,6 @@ fn full_enumeration_oracle(graph: &Graph, r: u32) -> usize {
     best
 }
 
-fn bench_index_leg(c: &mut Criterion) {
-    let instances: Vec<(&str, Graph)> = vec![
-        ("planar-tri", stacked_triangulation(N, 3)),
-        (
-            "config-model",
-            connected_instance(Family::ConfigurationModel, N, 5),
-        ),
-    ];
-
-    let mut group = c.benchmark_group("bitset_sweep");
-    group.sample_size(2);
-    group.measurement_time(std::time::Duration::from_secs(1));
-    group.warm_up_time(std::time::Duration::from_millis(1));
-
-    for (name, graph) in &instances {
-        let order = degeneracy_based_order(graph);
-        let n = graph.num_vertices();
-        record_metric(&format!("{name}_n"), n as f64);
-
-        // The equivalence gate: both sweeps must emit the same index, bit
-        // for bit, before a single sample is timed.
-        let scalar =
-            WReachIndex::build_scalar_with(graph, &order, R, ExecutionStrategy::Sequential);
-        let batched = WReachIndex::build_with(graph, &order, R, ExecutionStrategy::Sequential);
-        assert_eq!(scalar, batched, "{name}: sweeps disagree at r = {R}");
-        drop((scalar, batched));
-
-        let (scalar_allocs, scalar_secs) = timed_allocs(|| {
-            black_box(WReachIndex::build_scalar_with(
-                graph,
-                &order,
-                R,
-                ExecutionStrategy::Sequential,
-            ));
-        });
-        let (batched_allocs, batched_secs) = timed_allocs(|| {
-            black_box(WReachIndex::build_with(
-                graph,
-                &order,
-                R,
-                ExecutionStrategy::Sequential,
-            ));
-        });
-        println!(
-            "index leg, {name} (n = {n}, r = {R}): scalar-sweep = {scalar_secs:.3} s / \
-             {scalar_allocs} allocs, batched-sweep = {batched_secs:.3} s / {batched_allocs} \
-             allocs ({:.2}x)",
-            scalar_secs / batched_secs
-        );
-        record_metric(&format!("{name}_scalar_seconds"), scalar_secs);
-        record_metric(&format!("{name}_batched_seconds"), batched_secs);
-        record_metric(&format!("{name}_scalar_allocs"), scalar_allocs as f64);
-        record_metric(&format!("{name}_batched_allocs"), batched_allocs as f64);
-        record_metric(&format!("{name}_speedup"), scalar_secs / batched_secs);
-
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(
-            BenchmarkId::new(format!("scalar-sweep/{name}"), n),
-            graph,
-            |b, g| {
-                b.iter(|| {
-                    black_box(WReachIndex::build_scalar_with(
-                        g,
-                        &order,
-                        R,
-                        ExecutionStrategy::Sequential,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("batched-sweep/{name}"), n),
-            graph,
-            |b, g| {
-                b.iter(|| {
-                    black_box(WReachIndex::build_with(
-                        g,
-                        &order,
-                        R,
-                        ExecutionStrategy::Sequential,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_oracle_leg(_c: &mut Criterion) {
     // C_24 at r = 2 has gamma = ceil(24/5) = 5 — the size-ordered oracle must
     // genuinely scan every subset of size <= 4 before it can answer, so this
@@ -212,13 +75,13 @@ fn bench_oracle_leg(_c: &mut Criterion) {
     let got = bitmask_minimum_domination_number(&graph, r);
     assert_eq!(got, Some(want), "oracle leg: enumerations disagree");
 
-    let (_, full_secs) = timed_allocs(|| {
+    let full_secs = timed(|| {
         black_box(full_enumeration_oracle(&graph, r));
     });
     // The size-ordered oracle terminates in well under a second; average a
     // few runs for a stable number.
     let reps = 20u32;
-    let (_, gosper_total) = timed_allocs(|| {
+    let gosper_total = timed(|| {
         for _ in 0..reps {
             black_box(bitmask_minimum_domination_number(&graph, r));
         }
@@ -280,7 +143,7 @@ fn bench_validator_leg(_c: &mut Criterion) {
     drop(matrix);
 
     let q = queries.len();
-    let (_, scalar_secs) = timed_allocs(|| {
+    let scalar_secs = timed(|| {
         for set in &queries {
             let dist = multi_source_distances(&graph, set);
             black_box(dist.iter().all(|&d| d != UNREACHABLE && d <= r));
@@ -288,7 +151,7 @@ fn bench_validator_leg(_c: &mut Criterion) {
     });
     // Row build included: the matrix is paid for once per (graph, r), then
     // every query is a handful of word ORs.
-    let (_, matrix_secs) = timed_allocs(|| {
+    let matrix_secs = timed(|| {
         let matrix = ReachMatrix::build(&graph, r);
         for set in &queries {
             black_box(matrix.covers(set));
@@ -306,10 +169,5 @@ fn bench_validator_leg(_c: &mut Criterion) {
     record_metric("validator_speedup", scalar_secs / matrix_secs);
 }
 
-criterion_group!(
-    benches,
-    bench_index_leg,
-    bench_oracle_leg,
-    bench_validator_leg
-);
+criterion_group!(benches, bench_oracle_leg, bench_validator_leg);
 criterion_main!(benches);

@@ -6,9 +6,6 @@
 //! Criterion benches and the `experiments` binary stay thin and consistent
 //! with each other.
 
-pub mod legacy;
-pub mod legacy_wreach;
-
 use bedom_graph::components::largest_component;
 use bedom_graph::generators::Family;
 use bedom_graph::{Graph, Vertex};

@@ -1824,10 +1824,13 @@ fn run_ksv_network(
             recovery: None,
         });
     }
-    assert!(
-        config.flood == KsvFlood::Records || r <= u32::from(u8::MAX),
-        "summary-flood distances are encoded in 8 bits — run radii above 255 with KsvFlood::Records"
-    );
+    if config.flood == KsvFlood::Summaries && r > u32::from(u8::MAX) {
+        return Err(ModelViolation::RadiusOutOfRange {
+            requested: r,
+            supported: u32::from(u8::MAX),
+            what: "the KSV summary flood (8-bit distances; KsvFlood::Records has no such limit)",
+        });
+    }
     let nabla = config.nabla.unwrap_or_else(|| estimate_nabla(graph));
     let hard_budget = 2 * nabla;
     let hub_cap = if r >= 2 {
@@ -2351,6 +2354,27 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn summary_flood_rejects_radii_beyond_its_8_bit_distances() {
+        let g = grid(5, 5);
+        let err = distributed_ksv_domination_r(&g, 300, KsvConfig::new()).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelViolation::RadiusOutOfRange {
+                requested: 300,
+                supported: 255,
+                ..
+            }
+        ));
+        // The record flood has no distance encoding and keeps working.
+        let records = KsvConfig {
+            flood: KsvFlood::Records,
+            ..KsvConfig::new()
+        };
+        let result = distributed_ksv_domination_r(&g, 300, records).unwrap();
+        assert!(is_distance_dominating_set(&g, &result.dominating_set, 300));
     }
 
     #[test]

@@ -1,33 +1,26 @@
-//! Word-parallel bitset frontier kernels: `u64`-packed multi-source BFS.
+//! Word-parallel bitset frontier kernel: `u64`-packed multi-source BFS.
 //!
 //! The scalar traversals in [`bfs`](crate::bfs) advance one source at a time;
 //! on a 1-core box the only remaining headroom is doing more work per
-//! instruction. This module packs up to `64·stride` sources into the bits of
-//! `u64` *lane words* and advances all of them across an edge with a handful
-//! of word ops — the saturation-style set-valued iteration of symbolic
-//! reachability engines, specialised to unweighted BFS:
+//! instruction. This module packs up to 64 sources into the bits of one
+//! `u64` *lane word* per vertex and advances all of them across an edge with
+//! a handful of word ops — the saturation-style set-valued iteration of
+//! symbolic reachability engines, specialised to unrestricted, unweighted
+//! BFS:
 //!
 //! * [`BitMatrix`] — a flat `Vec<u64>` bit-matrix with row stride, the
 //!   storage form for reachability rows (`N_r[·]` as bitsets).
 //! * [`FrontierSweep`] — the batch kernel. `cur[v]` holds the lanes whose
 //!   frontier currently contains `v`; one [`advance`](FrontierSweep::advance)
-//!   round performs `next[w] |= cur[x] & elig(w) & ~reached[w]` for every
-//!   edge `(x, w)` incident to the frontier, so 64 sources cross an edge per
-//!   word op. Depths are stored *bit-sliced* (`⌈log₂(r+1)⌉` planes), and all
-//!   per-vertex state is reset in `O(touched)` via touch lists — no epoch
-//!   array, no full-matrix zeroing between batches.
+//!   round performs `next[w] |= cur[x] & ~reached[w]` for every edge
+//!   `(x, w)` incident to the frontier, so 64 sources cross an edge per word
+//!   op. All per-vertex state is reset in `O(touched)` via a touch list — no
+//!   full zeroing between batches.
 //! * [`reach_words64`] / [`ReachMatrix`] — closed-`r`-neighbourhood rows
 //!   `N_r[v]` built through the kernel; the coverage test of a candidate
 //!   dominating set becomes `O(k·n/64)` word ORs against these rows, which
 //!   is what lets the exact bitmask oracle and the brute-force validator
 //!   ride the same machinery.
-//!
-//! The *order restriction* of the paper's restricted BFS (Algorithm 3) maps
-//! onto lane masking: seed the batch with sources sorted by order rank so a
-//! vertex `w` is eligible for exactly a *prefix* of lanes (those sources
-//! ranked below `w`), and the per-vertex eligibility mask is a prefix mask
-//! computed from one cached count. `bedom-wcol` drives the kernel this way;
-//! unrestricted callers pass the full lane count.
 
 use crate::graph::{Graph, Vertex};
 
@@ -131,330 +124,121 @@ impl BitMatrix {
     }
 }
 
-/// The word-parallel frontier kernel: up to `64·stride` BFS sources advanced
+/// Words of per-vertex kernel state: `cur`, `next`, `reached`.
+const BLOCK: usize = 3;
+
+/// The word-parallel frontier kernel: up to 64 BFS sources advanced
 /// together, one bit lane per source.
 ///
-/// Lifecycle: [`new`](FrontierSweep::new) once per (graph size, lane width,
-/// depth bound), then per batch [`begin`](FrontierSweep::begin) with the
-/// batch's sources, [`run`](FrontierSweep::run) (or explicit
-/// [`advance`](FrontierSweep::advance) rounds /
-/// [`saturate`](FrontierSweep::saturate)), then read results through
-/// [`touched`](FrontierSweep::touched) /
-/// [`for_each_reached_lane`](FrontierSweep::for_each_reached_lane). All
-/// per-vertex state is reset by the next `begin` in `O(touched · stride)` —
-/// running many batches through one sweep touches `O(Σ reached)` memory, not
-/// `Θ(batches · n)`.
-///
-/// **Prefix eligibility.** Restriction predicates are expressed as a
-/// per-vertex count of eligible lanes: `elig(w) = c` means exactly lanes
-/// `0..c` may enter `w`. Callers must therefore seed lanes in an order under
-/// which their predicate is prefix-shaped (for the paper's order-restricted
-/// BFS: sources sorted by order rank — a vertex admits precisely the sources
-/// ranked strictly below it). Unrestricted traversals return
-/// [`lanes`](FrontierSweep::lanes). Counts are cached per vertex per batch,
-/// so the predicate is evaluated once per touched vertex, not once per edge.
+/// Lifecycle: [`new`](FrontierSweep::new) once per graph size, then per
+/// batch [`begin`](FrontierSweep::begin) with the batch's sources and
+/// [`run`](FrontierSweep::run) (or explicit
+/// [`advance`](FrontierSweep::advance) rounds), then read results through
+/// [`touched`](FrontierSweep::touched) and
+/// [`reached`](FrontierSweep::reached). All per-vertex state is reset by the
+/// next `begin` in `O(touched)` — running many batches through one sweep
+/// touches `O(Σ reached)` memory, not `Θ(batches · n)`.
 #[derive(Clone, Debug)]
 pub struct FrontierSweep {
-    /// Words per lane set.
-    stride: usize,
-    /// Lanes seeded by the current batch (`≤ 64·stride`).
-    num_lanes: u32,
-    /// Number of depth planes.
-    depth_bits: usize,
-    /// Words per per-vertex block: `cur`, `next`, `reached` (stride words
-    /// each), then the depth planes, then one metadata word.
-    block: usize,
-    /// All per-vertex state, **interleaved** into one block per vertex so an
-    /// edge touch costs a single random memory access instead of four
-    /// scattered array probes: `[cur…, next…, reached…, plane₀…, planeₚ…,
-    /// meta]`. The meta word packs the eligibility cache (`stamp << 32 |
-    /// count`). Bit `p` of the depth of `(lane, v)` lives in plane `p`.
+    /// All per-vertex state, **interleaved** into one [`BLOCK`] per vertex
+    /// (`[cur, next, reached]`) so an edge touch costs a single random
+    /// memory access instead of three scattered array probes.
     data: Vec<u64>,
     cur_list: Vec<Vertex>,
     next_list: Vec<Vertex>,
     touched: Vec<Vertex>,
-    /// Stack buffer for the frontier words of the vertex being expanded
-    /// (`stride` words) — copied out so the block of `x` and the block of
-    /// its neighbour may alias safely.
-    cur_buf: Vec<u64>,
-    epoch: u32,
 }
 
 impl FrontierSweep {
-    /// A sweep over graphs of `n` vertices with `lanes` sources per batch,
-    /// recording depths up to `max_depth` (pass 0 when depths are not
-    /// needed — e.g. pure reachability rows — to skip the plane updates).
-    pub fn new(n: usize, lanes: usize, max_depth: u32) -> Self {
-        assert!(lanes >= 1, "a sweep needs at least one lane");
-        let stride = lanes.div_ceil(WORD_BITS);
-        let depth_bits = (32 - max_depth.leading_zeros()) as usize;
-        let block = (3 + depth_bits) * stride + 1;
+    /// A sweep over graphs of `n` vertices.
+    pub fn new(n: usize) -> Self {
         FrontierSweep {
-            stride,
-            num_lanes: 0,
-            depth_bits,
-            block,
-            data: vec![0; n * block],
+            data: vec![0; n * BLOCK],
             cur_list: Vec::new(),
             next_list: Vec::new(),
             touched: Vec::new(),
-            cur_buf: vec![0; stride],
-            epoch: 0,
         }
     }
 
-    /// Words per lane set.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Lanes seeded by the current batch.
-    #[inline]
-    pub fn lanes(&self) -> u32 {
-        self.num_lanes
-    }
-
-    #[inline]
-    fn base(&self, v: Vertex) -> usize {
-        v as usize * self.block
-    }
-
-    /// Starts a new batch: lane `i` is seeded at `sources[i]` with depth 0.
-    /// Sources must be distinct and fit the lane capacity. Resets all state
-    /// of the previous batch in `O(touched · block)` via the touch list.
+    /// Starts a new batch: lane `i` is seeded at `sources[i]`. Sources must
+    /// be distinct and at most 64. Resets all state of the previous batch in
+    /// `O(touched)` via the touch list.
     pub fn begin(&mut self, sources: &[Vertex]) {
         assert!(
-            sources.len() <= self.stride * WORD_BITS,
-            "batch of {} sources exceeds the {}-lane sweep",
-            sources.len(),
-            self.stride * WORD_BITS
+            sources.len() <= WORD_BITS,
+            "batch of {} sources exceeds the {WORD_BITS}-lane sweep",
+            sources.len()
         );
-        let w = self.stride;
-        let block = self.block;
         for &v in &self.touched {
-            let base = v as usize * block;
-            self.data[base..base + block].fill(0);
+            let base = v as usize * BLOCK;
+            self.data[base..base + BLOCK].fill(0);
         }
         self.touched.clear();
         self.cur_list.clear();
         self.next_list.clear();
-        self.num_lanes = sources.len() as u32;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One-in-2³² wraparound: expire every cached eligibility count by
-            // zeroing the meta words (the stamp lives in the high half).
-            for b in (0..self.data.len()).step_by(block) {
-                self.data[b + block - 1] = 0;
-            }
-            self.epoch = 1;
-        }
         for (lane, &u) in sources.iter().enumerate() {
-            let base = self.base(u);
-            let j = lane / WORD_BITS;
-            let bit = 1u64 << (lane % WORD_BITS);
-            debug_assert_eq!(self.data[base + 2 * w + j] & bit, 0, "duplicate source {u}");
-            let first = (base..base + 3 * w).all(|k| self.data[k] == 0);
-            self.data[base + j] |= bit; // cur
-            self.data[base + 2 * w + j] |= bit; // reached
-            if first {
+            let base = u as usize * BLOCK;
+            let bit = 1u64 << lane;
+            debug_assert_eq!(self.data[base + 2] & bit, 0, "duplicate source {u}");
+            if self.data[base + 2] == 0 {
                 self.touched.push(u);
                 self.cur_list.push(u);
             }
+            self.data[base] |= bit; // cur
+            self.data[base + 2] |= bit; // reached
         }
     }
 
-    /// One synchronous frontier round at `depth`: for every edge `(x, w)`
-    /// with `x` on the frontier, `next[w] |= cur[x] & elig_mask(w) &
-    /// ~reached[w]` — all lanes cross the edge per word op. `elig` returns
-    /// the number of eligible lanes of a vertex (see the type-level docs);
-    /// it is consulted once per touched vertex per batch. Returns whether
-    /// the new frontier is non-empty.
-    pub fn advance(
-        &mut self,
-        graph: &Graph,
-        depth: u32,
-        elig: &mut impl FnMut(Vertex) -> u32,
-    ) -> bool {
-        let w = self.stride;
-        let block = self.block;
-        let meta_off = block - 1;
-        let stamp = (self.epoch as u64) << 32;
-        if w == 1 {
-            // Single-word fast path (the 64-lane configuration `bedom-wcol`
-            // runs): one load decides membership in both lists, no inner
-            // word loops.
-            for ci in 0..self.cur_list.len() {
-                let x = self.cur_list[ci];
-                let f = self.data[x as usize * block];
-                for &y in graph.neighbors(x) {
-                    let ybase = y as usize * block;
-                    let meta = self.data[ybase + meta_off];
-                    let cnt = if meta & 0xFFFF_FFFF_0000_0000 == stamp {
-                        meta as u32
-                    } else {
-                        let c = elig(y).min(self.num_lanes);
-                        self.data[ybase + meta_off] = stamp | c as u64;
-                        c
-                    };
-                    if cnt == 0 {
-                        continue;
-                    }
-                    let mask = if cnt as usize >= WORD_BITS {
-                        !0u64
-                    } else {
-                        (1u64 << cnt) - 1
-                    };
-                    let nx = self.data[ybase + 1];
-                    let rc = self.data[ybase + 2];
-                    let add = f & mask & !(nx | rc);
-                    if add != 0 {
-                        self.data[ybase + 1] = nx | add;
-                        for p in 0..self.depth_bits {
-                            if (depth >> p) & 1 == 1 {
-                                self.data[ybase + 3 + p] |= add;
-                            }
-                        }
-                        if nx == 0 {
-                            self.next_list.push(y);
-                            if rc == 0 {
-                                self.touched.push(y);
-                            }
-                        }
-                    }
-                }
-            }
-            for &y in &self.next_list {
-                let base = y as usize * block;
-                let nx = self.data[base + 1];
-                self.data[base + 2] |= nx;
-            }
-            for &x in &self.cur_list {
-                self.data[x as usize * block] = 0;
-            }
-            for &y in &self.next_list {
-                let base = y as usize * block;
-                self.data[base] = self.data[base + 1];
-                self.data[base + 1] = 0;
-            }
-            std::mem::swap(&mut self.cur_list, &mut self.next_list);
-            self.next_list.clear();
-            return !self.cur_list.is_empty();
-        }
+    /// One synchronous frontier round: for every edge `(x, w)` with `x` on
+    /// the frontier, `next[w] |= cur[x] & ~reached[w]` — all lanes cross the
+    /// edge per word op. Returns whether the new frontier is non-empty.
+    pub fn advance(&mut self, graph: &Graph) -> bool {
         for ci in 0..self.cur_list.len() {
             let x = self.cur_list[ci];
-            let xbase = x as usize * block;
-            self.cur_buf.copy_from_slice(&self.data[xbase..xbase + w]);
+            let f = self.data[x as usize * BLOCK];
             for &y in graph.neighbors(x) {
-                let ybase = y as usize * block;
-                let meta = self.data[ybase + meta_off];
-                let cnt = if meta & 0xFFFF_FFFF_0000_0000 == stamp {
-                    meta as u32
-                } else {
-                    let c = elig(y).min(self.num_lanes);
-                    self.data[ybase + meta_off] = stamp | c as u64;
-                    c
-                };
-                if cnt == 0 {
-                    continue;
-                }
-                let full_words = (cnt as usize) / WORD_BITS;
-                let part = cnt as usize % WORD_BITS;
-                let words = full_words + (part != 0) as usize;
-                // List membership is read off the words themselves (no side
-                // flag arrays): y joins next_list when its next words were
-                // all zero before this edge's additions, and joins the touch
-                // list when its reached words were zero too.
-                let mut prev_next = 0u64;
-                let mut prev_reached = 0u64;
-                for j in 0..w {
-                    prev_next |= self.data[ybase + w + j];
-                    prev_reached |= self.data[ybase + 2 * w + j];
-                }
-                let mut any = false;
-                for j in 0..words {
-                    let f = self.cur_buf[j];
-                    if f == 0 {
-                        continue;
-                    }
-                    let mask = if j < full_words {
-                        !0u64
-                    } else {
-                        (1u64 << part) - 1
-                    };
-                    let slot = ybase + w + j;
-                    let add = f & mask & !(self.data[slot] | self.data[ybase + 2 * w + j]);
-                    if add != 0 {
-                        self.data[slot] |= add;
-                        for p in 0..self.depth_bits {
-                            if (depth >> p) & 1 == 1 {
-                                self.data[ybase + (3 + p) * w + j] |= add;
-                            }
+                let base = y as usize * BLOCK;
+                let nx = self.data[base + 1];
+                let rc = self.data[base + 2];
+                let add = f & !(nx | rc);
+                if add != 0 {
+                    self.data[base + 1] = nx | add;
+                    // List membership is read off the words themselves: y
+                    // joins the next frontier on its first new lane, and
+                    // the touch list when nothing had reached it before.
+                    if nx == 0 {
+                        self.next_list.push(y);
+                        if rc == 0 {
+                            self.touched.push(y);
                         }
-                        any = true;
-                    }
-                }
-                if any && prev_next == 0 {
-                    self.next_list.push(y);
-                    if prev_reached == 0 {
-                        self.touched.push(y);
                     }
                 }
             }
         }
-        // Merge the new frontier into `reached`, retire the old frontier
-        // words, and promote `next` to `cur` within each block.
-        for &y in &self.next_list {
-            let base = y as usize * block;
-            for j in 0..w {
-                let nx = self.data[base + w + j];
-                self.data[base + 2 * w + j] |= nx;
-            }
-        }
+        // Retire the old frontier, then merge the new one into `reached`
+        // and promote `next` to `cur`.
         for &x in &self.cur_list {
-            let base = x as usize * block;
-            self.data[base..base + w].fill(0);
+            self.data[x as usize * BLOCK] = 0;
         }
         for &y in &self.next_list {
-            let base = y as usize * block;
-            for j in 0..w {
-                self.data[base + j] = self.data[base + w + j];
-                self.data[base + w + j] = 0;
-            }
+            let base = y as usize * BLOCK;
+            let nx = self.data[base + 1];
+            self.data[base] = nx;
+            self.data[base + 1] = 0;
+            self.data[base + 2] |= nx;
         }
         std::mem::swap(&mut self.cur_list, &mut self.next_list);
         self.next_list.clear();
         !self.cur_list.is_empty()
     }
 
-    /// Runs `r` bounded rounds (depths `1..=r`), stopping early once the
-    /// frontier empties. Requires `r ≤ max_depth` when depths are recorded.
-    pub fn run(&mut self, graph: &Graph, r: u32, elig: &mut impl FnMut(Vertex) -> u32) {
-        debug_assert!(
-            self.depth_bits == 0 || (32 - r.leading_zeros()) as usize <= self.depth_bits,
-            "depth-{r} run exceeds the sweep's recorded depth planes"
-        );
-        for d in 1..=r {
-            if !self.advance(graph, d, elig) {
+    /// Runs `r` bounded rounds, stopping early once the frontier empties.
+    pub fn run(&mut self, graph: &Graph, r: u32) {
+        for _ in 0..r {
+            if !self.advance(graph) {
                 break;
             }
         }
-    }
-
-    /// Advances to the reachability fixpoint (unbounded depth) and returns
-    /// the number of rounds executed. Only valid on sweeps built without
-    /// depth recording (`max_depth = 0`) — bit-sliced depth planes cannot
-    /// hold an a-priori-unbounded depth.
-    pub fn saturate(&mut self, graph: &Graph, elig: &mut impl FnMut(Vertex) -> u32) -> u32 {
-        assert!(
-            self.depth_bits == 0,
-            "saturate on a depth-recording sweep — depths need a bounded run"
-        );
-        let mut rounds = 0;
-        while self.advance(graph, 0, elig) {
-            rounds += 1;
-        }
-        rounds + 1
     }
 
     /// The vertices reached by any lane this batch, in touch order.
@@ -463,39 +247,10 @@ impl FrontierSweep {
         &self.touched
     }
 
-    /// Sorts the touch list by vertex id — emission in ascending-id order
-    /// then reproduces, per lane, exactly the sorted ball a scalar sweep
-    /// ends with.
-    pub fn sort_touched(&mut self) {
-        self.touched.sort_unstable();
-    }
-
-    /// The reached-lane words of `v`.
+    /// The lanes that reached `v`, as a bit word (bit `i` = lane `i`).
     #[inline]
-    pub fn reached_words(&self, v: Vertex) -> &[u64] {
-        let base = v as usize * self.block + 2 * self.stride;
-        &self.data[base..base + self.stride]
-    }
-
-    /// Calls `f(lane, depth)` for every lane that reached `v`, in ascending
-    /// lane order. Depths are reassembled from the bit planes (0 when the
-    /// sweep does not record depths) — all reads land in `v`'s own state
-    /// block, so emission is one cache streak per vertex.
-    pub fn for_each_reached_lane(&self, v: Vertex, mut f: impl FnMut(u32, u32)) {
-        let w = self.stride;
-        let base = v as usize * self.block;
-        for j in 0..w {
-            let mut bits = self.data[base + 2 * w + j];
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                let mut depth = 0u32;
-                for p in 0..self.depth_bits {
-                    depth |= (((self.data[base + (3 + p) * w + j] >> b) & 1) as u32) << p;
-                }
-                f((j * WORD_BITS) as u32 + b, depth);
-                bits &= bits - 1;
-            }
-        }
+    pub fn reached(&self, v: Vertex) -> u64 {
+        self.data[v as usize * BLOCK + 2]
     }
 }
 
@@ -512,12 +267,10 @@ pub fn reach_words64(graph: &Graph, r: u32) -> Vec<u64> {
         return Vec::new();
     }
     let sources: Vec<Vertex> = (0..n as Vertex).collect();
-    let mut sweep = FrontierSweep::new(n, n, 0);
+    let mut sweep = FrontierSweep::new(n);
     sweep.begin(&sources);
-    sweep.run(graph, r, &mut |_| n as u32);
-    (0..n as Vertex)
-        .map(|v| sweep.reached_words(v)[0])
-        .collect()
+    sweep.run(graph, r);
+    (0..n as Vertex).map(|v| sweep.reached(v)).collect()
 }
 
 /// Closed-`r`-neighbourhood rows as a [`BitMatrix`] for arbitrary `n`:
@@ -539,17 +292,16 @@ impl ReachMatrix {
         if n == 0 {
             return ReachMatrix { r, bits };
         }
-        let mut sweep = FrontierSweep::new(n, WORD_BITS.min(n), 0);
+        let mut sweep = FrontierSweep::new(n);
         let mut batch: Vec<Vertex> = Vec::with_capacity(WORD_BITS);
         for (b, start) in (0..n).step_by(WORD_BITS).enumerate() {
             let end = (start + WORD_BITS).min(n);
             batch.clear();
             batch.extend(start as Vertex..end as Vertex);
             sweep.begin(&batch);
-            sweep.run(graph, r, &mut |_| (end - start) as u32);
-            for i in 0..sweep.touched().len() {
-                let v = sweep.touched()[i];
-                bits.row_mut(v as usize)[b] = sweep.reached_words(v)[0];
+            sweep.run(graph, r);
+            for &v in sweep.touched() {
+                bits.row_mut(v as usize)[b] = sweep.reached(v);
             }
         }
         ReachMatrix { r, bits }
@@ -613,41 +365,10 @@ impl ReachMatrix {
     }
 }
 
-/// A BFS visit order over the whole graph (components in ascending root id,
-/// neighbours in adjacency order): vertices adjacent in this order are close
-/// in the graph, so consecutive 64-source batches share ball vertices — the
-/// multiplicity the word-parallel sweep converts into speedup. Deterministic
-/// for a given graph.
-pub fn bfs_visit_order(graph: &Graph) -> Vec<Vertex> {
-    let n = graph.num_vertices();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for root in 0..n as Vertex {
-        if seen[root as usize] {
-            continue;
-        }
-        seen[root as usize] = true;
-        order.push(root);
-        let mut head = order.len() - 1;
-        while head < order.len() {
-            let x = order[head];
-            head += 1;
-            for &y in graph.neighbors(x) {
-                if !seen[y as usize] {
-                    seen[y as usize] = true;
-                    order.push(y);
-                }
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::{all_pairs_distances, multi_source_distances, UNREACHABLE};
-    use crate::components::connected_components;
+    use crate::bfs::{all_pairs_distances, multi_source_distances};
     use crate::domset::is_distance_dominating_set;
     use crate::generators::{cycle, gnp, grid, path, stacked_triangulation, star};
     use crate::graph::graph_from_edges;
@@ -668,11 +389,10 @@ mod tests {
         assert_eq!(m.iter_row(1).collect::<Vec<_>>(), vec![0, 129]);
     }
 
-    /// Unrestricted batches must reproduce scalar BFS depths exactly —
-    /// including across multiple words (stride > 1) and across reuse of one
-    /// sweep for many batches.
+    /// Each lane must reach exactly the scalar BFS ball of its source —
+    /// including across reuse of one sweep for many batches.
     #[test]
-    fn unrestricted_sweep_matches_scalar_bfs_depths() {
+    fn sweep_lanes_match_scalar_bfs_balls() {
         for g in [
             path(9),
             cycle(17),
@@ -683,101 +403,21 @@ mod tests {
             graph_from_edges(5, &[]),
         ] {
             let n = g.num_vertices();
-            let lanes = 96.min(n.max(1)); // force stride 2 where possible
-            let mut sweep = FrontierSweep::new(n, lanes, 8);
+            let mut sweep = FrontierSweep::new(n);
             let sources: Vec<Vertex> = (0..n as Vertex).collect();
             for r in [0u32, 1, 2, 5, 8] {
-                for batch in sources.chunks(lanes) {
+                for batch in sources.chunks(WORD_BITS) {
                     sweep.begin(batch);
-                    sweep.run(&g, r, &mut |_| batch.len() as u32);
-                    let mut got: Vec<Vec<(Vertex, u32)>> = vec![Vec::new(); batch.len()];
-                    sweep.sort_touched();
-                    for i in 0..sweep.touched().len() {
-                        let v = sweep.touched()[i];
-                        sweep.for_each_reached_lane(v, |lane, depth| {
-                            got[lane as usize].push((v, depth));
-                        });
-                    }
+                    sweep.run(&g, r);
                     for (lane, &u) in batch.iter().enumerate() {
                         let dist = multi_source_distances(&g, &[u]);
-                        let want: Vec<(Vertex, u32)> = (0..n as Vertex)
-                            .filter(|&v| dist[v as usize] <= r)
-                            .map(|v| (v, dist[v as usize]))
-                            .collect();
-                        assert_eq!(got[lane], want, "n={n}, r={r}, source {u}");
+                        for v in 0..n as Vertex {
+                            let got = (sweep.reached(v) >> lane) & 1 == 1;
+                            assert_eq!(got, dist[v as usize] <= r, "n={n}, r={r}, {u} -> {v}");
+                        }
                     }
                 }
             }
-        }
-    }
-
-    /// Prefix eligibility implements the restricted BFS: with sources in
-    /// ascending id and `elig(w)` = #sources with id < w, lane `u` may only
-    /// travel through vertices with larger ids — checked against a scalar
-    /// restricted BFS reference.
-    #[test]
-    fn prefix_masked_sweep_restricts_intermediate_vertices() {
-        fn scalar_restricted(g: &Graph, u: Vertex, r: u32) -> Vec<(Vertex, u32)> {
-            let mut depth = vec![UNREACHABLE; g.num_vertices()];
-            depth[u as usize] = 0;
-            let mut queue = std::collections::VecDeque::from([u]);
-            while let Some(x) = queue.pop_front() {
-                let d = depth[x as usize];
-                if d >= r {
-                    continue;
-                }
-                for &w in g.neighbors(x) {
-                    if w > u && depth[w as usize] == UNREACHABLE {
-                        depth[w as usize] = d + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            (0..g.num_vertices() as Vertex)
-                .filter(|&v| depth[v as usize] != UNREACHABLE)
-                .map(|v| (v, depth[v as usize]))
-                .collect()
-        }
-        for g in [cycle(30), grid(5, 8), stacked_triangulation(70, 6)] {
-            let n = g.num_vertices();
-            let sources: Vec<Vertex> = (0..n as Vertex).collect();
-            let mut sweep = FrontierSweep::new(n, 64, 3);
-            for r in [1u32, 2, 3] {
-                for batch in sources.chunks(64) {
-                    sweep.begin(batch);
-                    let lo = batch[0];
-                    sweep.run(&g, r, &mut |w| w.saturating_sub(lo).min(64));
-                    let mut got: Vec<Vec<(Vertex, u32)>> = vec![Vec::new(); batch.len()];
-                    sweep.sort_touched();
-                    for i in 0..sweep.touched().len() {
-                        let v = sweep.touched()[i];
-                        sweep.for_each_reached_lane(v, |lane, depth| {
-                            got[lane as usize].push((v, depth));
-                        });
-                    }
-                    for (lane, &u) in batch.iter().enumerate() {
-                        assert_eq!(got[lane], scalar_restricted(&g, u, r), "r={r}, u={u}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn saturate_reaches_exactly_the_connected_component() {
-        let g = graph_from_edges(10, &[(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]);
-        let (comp, _) = connected_components(&g);
-        let sources: Vec<Vertex> = (0..10).collect();
-        let mut sweep = FrontierSweep::new(10, 64, 0);
-        sweep.begin(&sources);
-        sweep.saturate(&g, &mut |_| 64);
-        for v in 0..10u32 {
-            let mut lanes = Vec::new();
-            sweep.for_each_reached_lane(v, |lane, _| lanes.push(lane));
-            let want: Vec<u32> = (0..10)
-                .filter(|&u| comp[u as usize] == comp[v as usize])
-                .collect();
-            assert_eq!(lanes, want, "v={v}");
         }
     }
 
@@ -832,18 +472,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn visit_order_is_a_permutation_and_groups_components() {
-        let g = graph_from_edges(8, &[(4, 5), (5, 6), (0, 1), (2, 3)]);
-        let order = bfs_visit_order(&g);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-        // Component of 4..=6 appears contiguously once entered.
-        let pos = |v: Vertex| order.iter().position(|&x| x == v).unwrap();
-        assert!(pos(5) > pos(4) && pos(6) > pos(5));
-        assert_eq!(order[0], 0);
     }
 }

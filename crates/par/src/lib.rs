@@ -2,8 +2,8 @@
 //!
 //! A tiny deterministic fork-join layer used everywhere the bedom workspace
 //! evaluates an embarrassingly parallel loop: the superstep engine of
-//! `bedom-distsim`, the ball computations of `bedom-wcol` and the power-graph
-//! construction of `bedom-graph`.
+//! `bedom-distsim`, the `WReachIndex` ball sweep of `bedom-wcol` and the
+//! power-graph construction of `bedom-graph`.
 //!
 //! The crate exists so that there is exactly **one** execution path per loop:
 //! callers write `strategy.map_collect(n, f)` (or one of the other
@@ -81,22 +81,6 @@ impl ExecutionStrategy {
     pub fn auto_for(n: usize) -> Self {
         if n > 4096 {
             ExecutionStrategy::auto()
-        } else {
-            ExecutionStrategy::Sequential
-        }
-    }
-
-    /// The pooled work-queue strategy with the given schedule seed — see
-    /// [`ExecutionStrategy::Pooled`]. Seed 0 is a fine default; the
-    /// determinism suite sweeps several.
-    pub fn pooled(seed: u64) -> Self {
-        ExecutionStrategy::Pooled(seed)
-    }
-
-    /// Converts the legacy `parallel: bool` knob.
-    pub fn from_flag(parallel: bool) -> Self {
-        if parallel {
-            ExecutionStrategy::Parallel
         } else {
             ExecutionStrategy::Sequential
         }
@@ -269,32 +253,6 @@ impl ExecutionStrategy {
             "bedom-par: a worker chunk produced no result"
         );
         parts
-    }
-
-    /// Like [`ExecutionStrategy::chunk_collect_with`], but chunk boundaries
-    /// are aligned to multiples of `batch` elements: `0..n` is treated as
-    /// `⌈n/batch⌉` whole batches and each worker receives a contiguous run
-    /// of **complete** batches (only the final batch of the range may be
-    /// short). This is the combinator behind batched kernels whose
-    /// per-element output depends on batch *membership* — e.g. the 64-source
-    /// bitset ball sweep, where the eligibility masks are built from the
-    /// batch's source set. Because batch composition is fixed by `n` and
-    /// `batch` alone (never by the worker count), per-batch results are
-    /// strategy-independent by construction.
-    ///
-    /// # Panics
-    /// Panics if `batch` is zero.
-    pub fn batch_collect_with<S, T, I, F>(self, n: usize, batch: usize, init: I, f: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
-    {
-        assert!(batch > 0, "batch_collect_with needs a positive batch size");
-        let num_batches = n.div_ceil(batch);
-        self.chunk_collect_with(num_batches, init, |scratch, batches| {
-            f(scratch, batches.start * batch..(batches.end * batch).min(n))
-        })
     }
 
     /// `(0..n).map(f).collect()` through a **dynamic work queue**: a pool of
@@ -652,61 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_collect_with_aligns_chunks_to_batch_boundaries() {
-        for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::Parallel] {
-            for (n, batch) in [
-                (0usize, 64usize),
-                (1, 64),
-                (64, 64),
-                (130, 64),
-                (4099, 64),
-                (97, 5),
-            ] {
-                let chunks = strategy.batch_collect_with(n, batch, || (), |(), range| range);
-                let mut expected_start = 0;
-                for range in &chunks {
-                    assert_eq!(range.start, expected_start, "{strategy:?}, n = {n}");
-                    assert!(
-                        range.start % batch == 0,
-                        "{strategy:?}, n = {n}: chunk starts mid-batch at {}",
-                        range.start
-                    );
-                    assert!(
-                        range.end % batch == 0 || range.end == n,
-                        "{strategy:?}, n = {n}: chunk ends mid-batch at {}",
-                        range.end
-                    );
-                    expected_start = range.end;
-                }
-                assert_eq!(expected_start, n, "{strategy:?}, n = {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_collect_with_is_strategy_independent_per_batch() {
-        // Per-batch results (here: the batch's own index range, which a
-        // batched kernel's masks depend on) must not change with the worker
-        // count — whole batches never straddle workers.
-        let per_batch = |strategy: ExecutionStrategy, n: usize, batch: usize| -> Vec<usize> {
-            strategy
-                .batch_collect_with(
-                    n,
-                    batch,
-                    || (),
-                    |(), range| range.step_by(batch).map(|s| s / batch).collect::<Vec<_>>(),
-                )
-                .concat()
-        };
-        for (n, batch) in [(4099usize, 64usize), (130, 64), (7, 3)] {
-            let seq = per_batch(ExecutionStrategy::Sequential, n, batch);
-            let par = per_batch(ExecutionStrategy::Parallel, n, batch);
-            assert_eq!(seq, par);
-            assert_eq!(seq, (0..n.div_ceil(batch)).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn map_collect_with_builds_one_scratch_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let builds = AtomicUsize::new(0);
@@ -898,7 +801,7 @@ mod tests {
         // In the chunk-based combinators Pooled degrades to a perturbed
         // static split; outputs stay bit-identical.
         let n = 4099;
-        let pooled = ExecutionStrategy::pooled(0xfeed);
+        let pooled = ExecutionStrategy::Pooled(0xfeed);
         assert!(pooled.is_parallel());
         assert!(pooled.threads_for(n) >= 2);
         let seq_map = ExecutionStrategy::Sequential.map_collect(n, |i| i * 31 + 7);
@@ -984,9 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn flags_and_threads() {
-        assert!(ExecutionStrategy::from_flag(true).is_parallel());
-        assert!(!ExecutionStrategy::from_flag(false).is_parallel());
+    fn thread_counts() {
         assert_eq!(ExecutionStrategy::Sequential.threads_for(100), 1);
         assert!(ExecutionStrategy::Parallel.threads_for(100) >= 1);
         assert_eq!(ExecutionStrategy::Parallel.threads_for(1), 1);

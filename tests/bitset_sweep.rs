@@ -1,24 +1,17 @@
-//! Bit-identity of the word-parallel batched ball sweep: for every corpus
-//! instance, order and radius, [`WReachIndex::build_with`] (the u64-packed
-//! 64-lane frontier kernel, both execution strategies) must produce an index
-//! **equal** to [`WReachIndex::build_scalar_with`] (the per-source restricted
-//! BFS kept as the equivalence reference) — same CSR ball offsets, same ball
-//! vertices, same depths, same inverted `WReach_r` sets, same elected minima.
-//! `WReachIndex` derives `PartialEq` over all of that, so one `assert_eq!`
-//! per configuration pins the whole artifact.
+//! The validator leg of the word-parallel bitset kernel: every row of the
+//! `N_r` bit-matrix ([`ReachMatrix`]) must be exactly the scalar closed
+//! `r`-neighbourhood, on every corpus instance.
 //!
 //! The corpus mirrors `tests/conformance.rs` — the paper's structured
-//! families, the degenerate shapes, and the n ∈ (20, 26] band — plus larger
-//! bounded-expansion instances where multiple 64-source batches are
-//! actually exercised.
+//! families, the degenerate shapes, and the n ∈ (20, 26] band — plus two
+//! bounded-expansion instances with more than 64 vertices, so the rows come
+//! from more than one 64-source batch.
 
-use bedom::distsim::ExecutionStrategy;
-use bedom::graph::bitset::{bfs_visit_order, ReachMatrix};
+use bedom::graph::bitset::ReachMatrix;
 use bedom::graph::generators::{
     configuration_model_power_law, cycle, grid, path, stacked_triangulation, star,
 };
 use bedom::graph::{graph_from_edges, Graph, Vertex};
-use bedom::wcol::{degeneracy_based_order, LinearOrder, WReachIndex};
 
 fn corpus() -> Vec<(&'static str, Graph)> {
     vec![
@@ -35,56 +28,19 @@ fn corpus() -> Vec<(&'static str, Graph)> {
             "disconnected",
             graph_from_edges(12, &[(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)]),
         ),
-        // Large enough for several 64-lane batches.
-        ("planar-tri-900", stacked_triangulation(900, 7)),
+        // Large enough for two 64-lane batches.
+        ("planar-tri-90", stacked_triangulation(90, 7)),
         (
-            "config-model-700",
-            configuration_model_power_law(700, 2.5, 1, 9, 13),
+            "config-model-96",
+            configuration_model_power_law(96, 2.5, 1, 9, 13),
         ),
     ]
-}
-
-fn orders_for(g: &Graph) -> Vec<(&'static str, LinearOrder)> {
-    let n = g.num_vertices();
-    vec![
-        ("identity", LinearOrder::identity(n)),
-        (
-            "reversed",
-            LinearOrder::from_order((0..n as Vertex).rev().collect()),
-        ),
-        ("degeneracy", degeneracy_based_order(g)),
-    ]
-}
-
-#[test]
-fn batched_sweep_is_bit_identical_to_the_scalar_reference() {
-    for (name, g) in corpus() {
-        for (oname, order) in orders_for(&g) {
-            for r in [0u32, 1, 2, 4] {
-                let scalar =
-                    WReachIndex::build_scalar_with(&g, &order, r, ExecutionStrategy::Sequential);
-                for strategy in [ExecutionStrategy::Sequential, ExecutionStrategy::Parallel] {
-                    let batched = WReachIndex::build_with(&g, &order, r, strategy);
-                    assert_eq!(
-                        batched, scalar,
-                        "{name}, {oname} order, r = {r}, {strategy:?}: \
-                         batched sweep is not bit-identical to the scalar path"
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]
 fn reach_matrix_rows_match_scalar_neighborhoods_on_the_corpus() {
-    // The validator leg of the kernel: every row of the N_r bit-matrix is
-    // exactly the scalar closed r-neighbourhood, on every corpus instance.
     use bedom::graph::bfs::closed_neighborhood;
     for (name, g) in corpus() {
-        if g.num_vertices() > 100 {
-            continue; // quadratic check; the small instances cover every shape
-        }
         for r in [0u32, 1, 3] {
             let matrix = ReachMatrix::build(&g, r);
             for v in g.vertices() {
@@ -97,22 +53,5 @@ fn reach_matrix_rows_match_scalar_neighborhoods_on_the_corpus() {
                 assert_eq!(got, want, "{name}, r = {r}, v = {v}");
             }
         }
-    }
-}
-
-#[test]
-fn visit_order_batching_covers_every_source_exactly_once() {
-    // The BFS-locality batching feeds `bfs_visit_order` slices to the kernel;
-    // whatever the batch boundaries, the union of batches must be a
-    // permutation of the vertex set (this is what makes the scatter assembly
-    // a total, collision-free write of the CSR).
-    for (name, g) in corpus() {
-        let order = bfs_visit_order(&g);
-        let mut seen = vec![false; g.num_vertices()];
-        for &v in &order {
-            assert!(!seen[v as usize], "{name}: duplicate source {v}");
-            seen[v as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "{name}: missed sources");
     }
 }

@@ -1,8 +1,8 @@
-//! Allocation regression for the word-parallel batched ball sweep. The
-//! batched path must stay `O(workers + batches)` in allocation count — one
-//! `SweepScratch` per worker, one chunk buffer per batch range, one final
-//! CSR — never `Θ(n)` fresh vectors (the seed's per-ball `vec![false; n]`
-//! pattern this whole line of work replaced).
+//! Allocation regression for the `WReachIndex` ball sweep. The build must
+//! stay `O(workers)` in allocation count — one epoch-stamped `BfsScratch`
+//! and one chunk buffer per worker, amortised buffer growth, one final CSR —
+//! never `Θ(n)` fresh vectors (the seed's per-ball `vec![false; n]` pattern
+//! the flat index replaced).
 //!
 //! Lives in its own integration-test binary so the counting global allocator
 //! sees no interference from unrelated tests running on sibling threads.
@@ -40,23 +40,23 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn batched_sweep_allocation_count_stays_sublinear_in_n() {
+fn index_build_allocation_count_stays_sublinear_in_n() {
     let n = 20_000;
     let g = stacked_triangulation(n, 3);
     let order = degeneracy_based_order(&g);
-    // Warm thread-local scratch (BALL_SWEEPS counters etc.) out of the count.
+    // Warm thread-local state (the BALL_SWEEPS counter) out of the count.
     let warm = WReachIndex::build_with(&g, &order, 2, ExecutionStrategy::Sequential);
     let allocs = count_allocs(|| {
         let index = WReachIndex::build_with(&g, &order, 2, ExecutionStrategy::Sequential);
         assert_eq!(index, warm);
     });
-    // n/64 ≈ 313 batches; the budget allows the per-worker scratch (a few
-    // hundred vectors incl. the 64 lane buffers), amortised growth, the
-    // chunk buffers and the final CSR — with comfortable headroom — but a
-    // Θ(n) per-source allocation regression (≥ 20 000) still trips it.
+    // The sequential build measured 38 allocations here (one scratch, one
+    // chunk, amortised `Vec` growth, the CSR arrays). The budget leaves room
+    // for growth-policy changes, but a Θ(n) per-source allocation regression
+    // (≥ 20 000) still trips it.
     assert!(
-        allocs < 8_000,
-        "batched sweep performed {allocs} allocations on n = {n} \
-         (budget 8000): a per-source allocation has crept back in"
+        allocs < 256,
+        "index build performed {allocs} allocations on n = {n} \
+         (budget 256): a per-source allocation has crept back in"
     );
 }
